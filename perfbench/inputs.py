@@ -104,6 +104,18 @@ def lookup_sql(depth: int) -> str:
     )
 
 
+def random_path(
+    rng: random.Random, depth: int, first: int | None = None
+) -> tuple[int, ...]:
+    """A belief path of ``depth`` paper users, no user twice in a row."""
+    path: list[int] = [] if first is None else [first]
+    while len(path) < depth:
+        uid = rng.randrange(1, PAPER_USERS + 1)
+        if not path or path[-1] != uid:
+            path.append(uid)
+    return tuple(path)
+
+
 def fresh_sighting(rng: random.Random, key: str, reporter: int) -> tuple:
     return (
         key, reporter, rng.choice(SPECIES),
@@ -148,24 +160,12 @@ class AnnotateStream:
         self.written_keys: list[str] = []
         self.counter = 0
 
-    def _path(self, depth: int, first: int | None = None) -> tuple[int, ...]:
-        rng = self.rng
-        path: list[int] = [] if first is None else [first]
-        while len(path) < depth:
-            uid = rng.randrange(1, PAPER_USERS + 1)
-            if not path or path[-1] != uid:
-                path.append(uid)
-        return tuple(path)
-
-    def next(
-        self, write: bool = False
-    ) -> tuple[str, str, tuple, Statement | None]:
+    def next(self) -> tuple[str, str, tuple, Statement | None]:
         """``(kind, sql, params, effect)``: kind is ``"read"``, ``"write"``
         (``effect`` is the statement added) or ``"retract"`` (``effect`` is
-        the statement removed; it counts as a write). ``write`` forces a
-        write."""
+        the statement removed; it counts as a write)."""
         rng = self.rng
-        if write or rng.random() < self.write_share:
+        if rng.random() < self.write_share:
             if len(self.live) >= self.window:
                 gone = self.live.popleft()
                 return ("retract", retract_sql(len(gone.path), gone.sign),
@@ -185,11 +185,11 @@ class AnnotateStream:
             key = rng.choice(self.written_keys)
         else:
             key = rng.choice(self.keys)
-        return "read", lookup_sql(depth), (*self._path(depth), key), None
+        return "read", lookup_sql(depth), (*random_path(rng, depth), key), None
 
     def _fresh(self) -> tuple[str, str, tuple]:
         depth = self.rng.choice((1, 2))
-        path = self._path(depth, first=self.uid)
+        path = random_path(self.rng, depth, first=self.uid)
         key = f"w{self.session}-{self.counter}"
         self.counter += 1
         self.written_keys.append(key)
@@ -200,7 +200,7 @@ class AnnotateStream:
         rng = self.rng
         while True:
             depth = rng.choice((1, 2))
-            path = self._path(depth, first=self.uid)
+            path = random_path(rng, depth, first=self.uid)
             values = rng.choice(self.tuples)
             target = (path, values)
             if target in self.explicit or target in self.disputed:

@@ -33,8 +33,10 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".bench_out")
 
-#: A run that has not finished by then is stopped with a failure exit.
-DEADLINE_S = 170.0
+#: A run that has not finished this long after its timed phase would have
+#: ended is stopped with a failure exit: set-ups, recovery and checks take
+#: well under a minute at the full sizes.
+DEADLINE_MARGIN_S = 120.0
 
 
 def source_digest() -> str:
@@ -121,7 +123,8 @@ def run(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     }
     with open(os.path.join(work, "result.json"), "w", encoding="utf-8") as out:
         json.dump(full, out, indent=1, sort_keys=True, default=str)
-    shutil.rmtree(os.path.join(work, "data"), ignore_errors=True)
+    for name in ("data", "data-spare"):
+        shutil.rmtree(os.path.join(work, name), ignore_errors=True)
     lines = [f"meta {json.dumps(meta, sort_keys=True, default=str)}"]
     lines += [f"problem: {p}" for p in outcome.problems]
     lines += outcome.waterfall
@@ -136,9 +139,9 @@ def run(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return result, lines, 0 if correct else 1
 
 
-def _watchdog() -> None:
-    time.sleep(DEADLINE_S)
-    print(f"run exceeded {DEADLINE_S:.0f}s; stopping", file=sys.stderr)
+def _watchdog(deadline: float) -> None:
+    time.sleep(deadline)
+    print(f"run exceeded {deadline:.0f}s; stopping", file=sys.stderr)
     sys.stderr.flush()
     os._exit(3)
 
@@ -152,8 +155,9 @@ def main(argv: list[str]) -> int:
         )
         return 2
     sys.path[:0] = [HERE, SRC]
-    threading.Thread(target=_watchdog, name="bench-watchdog",
-                     daemon=True).start()
+    deadline = args.seconds + DEADLINE_MARGIN_S
+    threading.Thread(target=_watchdog, args=(deadline,),
+                     name="bench-watchdog", daemon=True).start()
     result, lines, code = run(args)
     for line in lines:
         print(line)

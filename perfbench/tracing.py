@@ -40,6 +40,9 @@ _span_ids = itertools.count(1)
 #: name, span id, parent span id, trace id, op type, start, end, thread
 SPAN_FIELDS = 8
 
+#: Spans kept in memory; later ones are only counted and aggregated.
+SPAN_CAP = 200_000
+
 
 class _Frame:
     __slots__ = (
@@ -63,13 +66,12 @@ class _Frame:
 class Tracer:
     """Collects spans and counts while installed; see the module docstring."""
 
-    def __init__(self, span_cap: int = 200_000) -> None:
+    def __init__(self) -> None:
         self._local = threading.local()
         self._trace_ids = itertools.count(1)
         #: user name -> (trace id, op type, root frame) of the request that
         #: user's connection has in flight.
         self._by_user: dict[str, tuple[int, str, _Frame]] = {}
-        self.span_cap = span_cap
         #: Kept spans, ``SPAN_FIELDS`` integers each, in a flat array: no
         #: per-span objects for the garbage collector to walk while the
         #: program runs.
@@ -133,7 +135,7 @@ class Tracer:
         cell[0] += 1
         cell[1] += duration
         cell[2] += duration - frame.child_ns
-        if len(self.spans) < self.span_cap * SPAN_FIELDS:
+        if len(self.spans) < SPAN_CAP * SPAN_FIELDS:
             labels = self._labels
             self.spans.extend((
                 labels.setdefault(frame.name, len(labels)), frame.span,

@@ -14,8 +14,10 @@ import os
 import random
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, TypeVar
+from statistics import fmean
+from typing import Any, Callable, Iterator, TypeVar
 
 import inputs
 from inputs import RELATION, Statement, insert_sql, lookup_sql, user_name
@@ -51,26 +53,20 @@ TABLE2_GROUPS = {
     "table2_user_ms": ("q3",),
 }
 
-#: The timed run is cut into this many slices. Between slices, with every
-#: client parked, the benchmark measures one more throwaway set-up and (on
-#: the durable workloads) ``TABLE2_ROUNDS`` rounds of the Table 2 queries,
-#: so those metrics sample the whole run, not one short window of a box
-#: whose speed drifts.
-SLICES = 4
-TABLE2_ROUNDS = 3
+#: The timed run is cut into this many slices (a multiple of 4, see
+#: ``phase_plan``). Before each slice, with every client parked, the
+#: benchmark measures one more throwaway set-up and ``REOPENS`` reopens
+#: (see ``durable_break``), so set-up and recovery times sample the whole
+#: run, not one short window of a box whose speed drifts.
+SLICES = 8
 
-#: Reopening the data directory after the run repeats until it has run
-#: this long and at least three times.
-MIN_PASS_S = 2.0
+#: Timed rounds of the Table 2 queries per break on the durable workloads,
+#: and timed reopens per break on every workload.
+TABLE2_ROUNDS = 3
+REOPENS = 2
 
 #: Percentiles reported in the metadata, to show each latency's shape.
 SHAPE = (0.5, 0.9, 0.95, 0.99, 0.999)
-
-#: Writes the fixed WAL tail of annotate-lookup's crash point: its own
-#: stream, seed and user, so the tail recovery replays is the same on every
-#: run instead of whatever mix of writes the run seed ended on.
-TAIL_USER = 5
-TAIL_SEED = 0
 
 #: annotate-lookup's two curators. Not users 1 and 2: the Table 2 queries
 #: read the worlds of those two, and the curators' own writes land in
@@ -89,7 +85,6 @@ class Scale:
     """Sizes of one workload; ``tiny`` variants serve the self-test."""
 
     preload: int
-    min_pass_s: float = MIN_PASS_S
     checkpoint_every: int = 0
     write_share: float = 0.0
     window: int = 20
@@ -105,20 +100,20 @@ SCALES: dict[str, dict[str, Scale]] = {
         ),
         "belief-analytics": Scale(preload=1000, lookups_per_round=1000),
         "curation-durable": Scale(
-            preload=200, checkpoint_every=25, race_every=25,
+            preload=200, checkpoint_every=20, race_every=25,
         ),
     },
     "tiny": {
         "annotate-lookup": Scale(
-            preload=60, min_pass_s=0.0, checkpoint_every=20,
+            preload=60, checkpoint_every=20,
             write_share=0.10, window=5, check_sample=10,
         ),
         "belief-analytics": Scale(
-            preload=80, min_pass_s=0.0, lookups_per_round=20,
+            preload=80, lookups_per_round=20,
             check_sample=10,
         ),
         "curation-durable": Scale(
-            preload=24, min_pass_s=0.0, checkpoint_every=20,
+            preload=24, checkpoint_every=20,
             race_every=10,
         ),
     },
@@ -139,13 +134,24 @@ class Outcome:
 
 
 @dataclass
+class Samples:
+    """Seconds measured outside the closed loop, pooled over a run."""
+
+    setup: list[float] = field(default_factory=list)
+    recovery: list[float] = field(default_factory=list)
+    #: Table 2 query name -> seconds
+    table2: dict[str, list[float]] = field(default_factory=dict)
+
+
+@dataclass
 class Deployment:
     """A database, and for durable workloads its server and sessions."""
 
     db: BeliefDBMS
     server: BeliefServer | None = None
     sessions: list[BeliefClient] = field(default_factory=list)
-    extra: dict[str, Any] = field(default_factory=dict)
+    #: curation-durable's seeded belief ids, in proposal order.
+    beliefs: list[str] = field(default_factory=list)
 
     def close(self) -> None:
         for session in self.sessions:
@@ -192,26 +198,28 @@ def measure(make: Callable[[], T], samples: list[float]) -> T:
     return made
 
 
-def throwaway_setup(
-    make: Callable[[], Deployment], samples: list[float]
-) -> None:
-    """One more measured set-up, closed at once. The live workload's
-    objects are frozen out of the garbage collector meanwhile, so the
-    set-up pays for its own heap only, as it would in a fresh process."""
+@contextmanager
+def live_frozen(thaw: bool = True) -> Iterator[None]:
+    """Freeze the live workload's objects out of the garbage collector, so
+    a set-up or reopen measured meanwhile pays for its own heap only, as it
+    would in a fresh process. ``thaw=False`` leaves them frozen (see
+    ``freeze_live``)."""
     gc.freeze()
     try:
-        measure(make, samples).close()
+        yield
     finally:
-        gc.unfreeze()
+        if thaw:
+            gc.unfreeze()
 
 
-def repeat_for(min_seconds: float, run: Callable[[], None]) -> None:
-    """Call ``run`` at least three times and for at least ``min_seconds``."""
-    start = time.perf_counter()
-    runs = 0
-    while runs < 3 or time.perf_counter() - start < min_seconds:
-        run()
-        runs += 1
+def freeze_live() -> None:
+    """Move everything alive now out of the garbage collector's reach.
+
+    belief-analytics never frees its loaded database, so full collections
+    would only re-walk it: a cost that lands on whichever query happens to
+    trigger one, not on the query's own work."""
+    gc.collect()
+    gc.freeze()
 
 
 def preload_transaction(db: BeliefDBMS, statements: list[Statement]) -> None:
@@ -238,40 +246,58 @@ def open_durable(path: str, checkpoint_every: int) -> BeliefDBMS:
         raise
 
 
-def crash_point(db: BeliefDBMS, write: Callable[[], None]) -> int:
-    """Issue writes until the WAL holds ``checkpoint_every - 1`` records
-    past the last checkpoint, then stop: the crash-equivalent close lands
-    where recovery replays the longest tail, the same on every run, instead
-    of wherever the timed run happened to stop. Returns the tail length
-    (another one only when checkpoints fail, which fails the run anyway)."""
-    manager = db.durability
-    assert manager is not None
-    target = manager.checkpoint_every - 1
-    for _ in range(2 * manager.checkpoint_every):
-        if manager.records_since_checkpoint == target:
-            break
-        write()
-    return manager.records_since_checkpoint
-
-
-def measure_recovery(
-    path: str, checkpoint_every: int, scale: Scale, outcome: Outcome,
-    check: Callable[[BeliefDBMS], None],
+def reopen(
+    path: str, checkpoint_every: int,
+    check: Callable[[BeliefDBMS], None] | None = None,
 ) -> float:
-    """Median seconds to reopen a data dir; ``check`` runs on the first."""
-    samples: list[float] = []
+    """Reopen a data directory; returns the seconds that took. ``check``
+    runs on the reopened database."""
+    took: list[float] = []
+    db = measure(lambda: open_durable(path, checkpoint_every), took)
+    try:
+        if check is not None:
+            check(db)
+    finally:
+        db.close()
+    return took[0]
 
-    def reopen() -> None:
-        db = measure(lambda: open_durable(path, checkpoint_every), samples)
+
+def durable_break(
+    live: Deployment, make: Callable[[], Deployment], work: str,
+    samples: Samples, outcome: Outcome,
+) -> None:
+    """Between two slices of a durable workload, with every client parked:
+    one more measured set-up, the Table 2 rounds on its freshly preloaded
+    database (the same state on every run, whatever the run seed wrote),
+    and ``REOPENS`` restarts of the live database from a checkpoint. For
+    that, the live data directory is copied while no request is in flight
+    (a crash image), the copy is opened, checkpointed and closed, and
+    reopening it is timed: the live state as of now, without a WAL tail
+    whose length would depend on where the last checkpoint happened to
+    fall."""
+    assert live.server is not None and live.db.durability is not None
+    every = live.db.durability.checkpoint_every
+    image = os.path.join(work, "crash-image")
+    with live_frozen():
+        spare = measure(make, samples.setup)
         try:
-            if len(samples) == 1:
-                check(db)
+            table2_rounds(spare.db, outcome, samples.table2)
         finally:
-            db.close()
-
-    repeat_for(scale.min_pass_s, reopen)
-    outcome.meta["recovery_samples_s"] = samples
-    return median(samples)
+            spare.close()
+        with live.server.lock.write():
+            shutil.rmtree(image, ignore_errors=True)
+            shutil.copytree(os.path.join(work, "data"), image)
+        copy = open_durable(image, every)
+        try:
+            copy.checkpoint()
+        except (OSError, BeliefDBError) as exc:
+            outcome.failed += 1
+            outcome.problems.append(f"checkpoint of a crash image: {exc}")
+        finally:
+            copy.close()
+        for _ in range(REOPENS):
+            samples.recovery.append(reopen(image, every))
+    shutil.rmtree(image, ignore_errors=True)
 
 
 def table2_rounds(
@@ -279,8 +305,7 @@ def table2_rounds(
 ) -> None:
     """Time ``TABLE2_ROUNDS`` rounds of the seven Table 2 queries on one
     pinned version; check each answer against the naive evaluator. An
-    untimed first round lets the version build its indexes, a cost the
-    first read after a write pays and ``read_p99_ms`` already shows."""
+    untimed first round lets the version build its indexes."""
     queries = paper_queries()
     version = db.pin_version()
     try:
@@ -309,10 +334,13 @@ def table2_rounds(
 
 
 def table2_metrics(outcome: Outcome, timings: dict[str, list[float]]) -> None:
+    """Mean query time per Table 2 group (see ``finish``)."""
     for metric, names in TABLE2_GROUPS.items():
         samples = [t for n in names for t in timings.get(n, [])]
-        outcome.metrics[metric] = (median(samples) * 1000.0, "ms")
-    outcome.meta["table2_samples"] = {n: len(t) for n, t in timings.items()}
+        outcome.metrics[metric] = (fmean(samples) * 1000.0, "ms")
+    outcome.meta["table2_samples_ms"] = {
+        n: [round(x * 1000.0, 4) for x in t] for n, t in timings.items()
+    }
 
 
 def background_failures(
@@ -364,12 +392,13 @@ ALL_PHASES = ("warmup", "timed", "untraced", "traced")
 
 def phase_plan(seconds: float, trace: bool) -> list[tuple[str, float, bool]]:
     """A warm-up, then ``SLICES`` timed slices. A traced run's slices go
-    untraced-traced-traced-untraced, so the tracing overhead is measured in
-    the same run and both kinds sit, on average, at the same point of a
-    growing history."""
+    untraced-traced-traced-untraced, repeated, so the tracing overhead is
+    measured in the same run and both kinds sit, on average, at the same
+    point of a growing history."""
     warmup = ("warmup", min(1.0, seconds / 5), False)
-    names = ("untraced", "traced", "traced", "untraced") if trace else (
-        ("timed",) * SLICES
+    names = (
+        ("untraced", "traced", "traced", "untraced") * (SLICES // 4)
+        if trace else ("timed",) * SLICES
     )
     return [warmup] + [
         (name, seconds / SLICES, name == "traced") for name in names
@@ -512,9 +541,18 @@ def _program_counters(db: BeliefDBMS) -> dict[str, float]:
     }
 
 
-def finish(outcome: Outcome, setup_samples: list[float]) -> Outcome:
-    outcome.metrics["setup_s"] = (median(setup_samples), "s")
-    outcome.meta["setup_samples_s"] = setup_samples
+def finish(outcome: Outcome, samples: Samples) -> Outcome:
+    """Metrics of the work timed outside the closed loop. Table 2 queries
+    and reopens repeat the same work, and on a box whose memory-bound speed
+    flips between two levels (about 1.6x apart, for tenths of a second to
+    seconds at a time) their times are bimodal: a median jumps between the
+    levels as their mix shifts from run to run, a mean moves with the mix
+    (and the paper's Table 2, like ``repro.bench.harness``, averages)."""
+    table2_metrics(outcome, samples.table2)
+    outcome.metrics["setup_s"] = (median(samples.setup), "s")
+    outcome.meta["setup_samples_s"] = samples.setup
+    outcome.metrics["recovery_s"] = (fmean(samples.recovery), "s")
+    outcome.meta["recovery_samples_s"] = samples.recovery
     outcome.metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
     return outcome
 
@@ -554,12 +592,8 @@ class AnnotateClient(Client):
             prepared = self.handles[sql] = self.client.prepare(sql)
         return prepared
 
-    def write(self) -> None:
-        """One write, whatever the stream would do next."""
-        self.step(write=True)
-
-    def step(self, write: bool = False) -> None:
-        kind, sql, params, effect = self.stream.next(write)
+    def step(self) -> None:
+        kind, sql, params, effect = self.stream.next()
         handle = self.handle(sql)
         payload = self.timed(
             "read" if kind == "read" else "write",
@@ -607,21 +641,19 @@ def run_annotate_lookup(
     outcome = Outcome()
     preload = inputs.paper_preload(scale.preload)
     data_dir = os.path.join(work, "data")
-    extra_dir = os.path.join(work, "data-extra")
-    setup_samples: list[float] = []
-    timings: dict[str, list[float]] = {}
+    spare_dir = os.path.join(work, "data-spare")
+    samples = Samples()
     live = measure(
-        lambda: annotate_deploy(data_dir, scale, preload), setup_samples
+        lambda: annotate_deploy(data_dir, scale, preload), samples.setup
     )
     try:
         db, server = live.db, live.server
 
         def between() -> None:
-            throwaway_setup(
-                lambda: annotate_deploy(extra_dir, scale, preload),
-                setup_samples,
+            durable_break(
+                live, lambda: annotate_deploy(spare_dir, scale, preload),
+                work, samples, outcome,
             )
-            table2_rounds(db, outcome, timings)
 
         clients = [
             AnnotateClient(
@@ -636,7 +668,6 @@ def run_annotate_lookup(
         ]
         run_timed(outcome, clients, seconds, trace, db, work,
                   ("read", "write"), between)
-        table2_metrics(outcome, timings)
         # Lookup sample: the server's answer on the final state must equal
         # the naive evaluator's.
         version = db.pin_version()
@@ -656,25 +687,8 @@ def run_annotate_lookup(
             )
         finally:
             db.release_version(version)
-        tail = AnnotateClient(
-            clients[0].client,
-            inputs.AnnotateStream(
-                TAIL_SEED, len(clients), TAIL_USER, preload, 1.0,
-                scale.window,
-            ),
-            random.Random(TAIL_SEED), 0,
-        )
-        tail.phase = "crash-point"
-        # Checkpoint, then write a tail one record short of the next one:
-        # recovery replays the longest tail, and the same tail every run.
-        try:
-            with server.lock.write():
-                db.checkpoint()
-        except (OSError, BeliefDBError) as exc:
-            outcome.failed += 1
-            outcome.problems.append(f"checkpoint before the close: {exc}")
-        outcome.meta["wal_tail_at_close"] = crash_point(db, tail.write)
-        clients.append(tail)
+        outcome.meta["wal_tail_at_close"] = (
+            db.durability.records_since_checkpoint)
         outcome.meta["codecs"] = negotiated_codecs(db)
         outcome.metrics["rows_per_annotation"] = (
             db.relative_overhead(), "rows")
@@ -709,13 +723,13 @@ def run_annotate_lookup(
                 "reopened state differs from the state before close"
             )
 
-    outcome.metrics["recovery_s"] = (measure_recovery(
-        data_dir, scale.checkpoint_every, scale, outcome, check), "s")
+    outcome.meta["reopen_after_close_s"] = reopen(
+        data_dir, scale.checkpoint_every, check)
     outcome.meta.update(
         preload=scale.preload, checkpoint_every=scale.checkpoint_every,
         write_share=scale.write_share, window=scale.window, sessions=2,
     )
-    return finish(outcome, setup_samples)
+    return finish(outcome, samples)
 
 
 # -------------------------------------------------------- belief-analytics
@@ -750,6 +764,10 @@ class AnalyticsClient(Client):
         self.position += 1
         if index < len(self.queries):
             name, query = self.queries[index]
+            # Each query starts from the same collector state, as the
+            # durable workloads' Table 2 rounds do, instead of paying for
+            # whichever full collection the lookups left due.
+            gc.collect()
             answer = self.timed(
                 name, lambda: self.db.query(query, version=self.version)
             )
@@ -759,13 +777,8 @@ class AnalyticsClient(Client):
             return
         rng = self.rng
         depth = rng.choice((0, 1, 2))
-        path: list[int] = []
-        while len(path) < depth:
-            uid = rng.randrange(1, inputs.PAPER_USERS + 1)
-            if not path or path[-1] != uid:
-                path.append(uid)
         sql = lookup_sql(depth)
-        params = (*path, rng.choice(self.keys))
+        params = (*inputs.random_path(rng, depth), rng.choice(self.keys))
         result = self.timed(
             "read", lambda: self.cursor.execute(sql, params).rows
         )
@@ -792,28 +805,42 @@ def run_belief_analytics(
 ) -> Outcome:
     outcome = Outcome()
     preload = inputs.paper_preload(scale.preload)
-    setup_samples: list[float] = []
+    samples = Samples()
     write_samples: list[float] = []
     live = measure(
-        lambda: analytics_deploy(preload, write_samples), setup_samples
+        lambda: analytics_deploy(preload, write_samples), samples.setup
     )
     db = live.db
     version = db.pin_version()
     try:
-        client = AnalyticsClient(db, version, seed, preload, scale)
-        run_timed(
-            outcome, [client], seconds, trace, db, work, ("read",),
-            lambda: throwaway_setup(
-                lambda: analytics_deploy(preload, write_samples),
-                setup_samples,
-            ),
+        # A cold start of this database from disk: snapshot only, no WAL.
+        # Nothing writes to the database, so one snapshot serves the run.
+        data_dir = reset_dir(os.path.join(work, "data"))
+        snapshot_dir = os.path.join(data_dir, "snapshots")
+        os.makedirs(snapshot_dir)
+        snapshot_files.write_snapshot(
+            snapshot_dir, snapshot_files.build_snapshot(db, 0)
         )
-        timings = {
+        client = AnalyticsClient(db, version, seed, preload, scale)
+
+        def between() -> None:
+            with live_frozen(thaw=False):
+                measure(
+                    lambda: analytics_deploy(preload, write_samples),
+                    samples.setup,
+                ).close()
+                for _ in range(REOPENS):
+                    samples.recovery.append(reopen(data_dir, 0))
+
+        freeze_live()
+        run_timed(outcome, [client], seconds, trace, db, work, ("read",),
+                  between)
+        gc.unfreeze()
+        samples.table2 = {
             name: s
             for name, s in client.samples.get(measured_phase(trace), {}).items()
             if name != "read"
         }
-        table2_metrics(outcome, timings)
         outcome.problems.extend(client.mismatches)
         store = version.store
         for name, query in client.queries:
@@ -834,13 +861,6 @@ def run_belief_analytics(
             db.relative_overhead(), "rows")
         background_failures(db, None, outcome)
         client.conn.close()
-        # A cold start of this database from disk: snapshot only, no WAL.
-        data_dir = reset_dir(os.path.join(work, "data"))
-        snapshot_dir = os.path.join(data_dir, "snapshots")
-        os.makedirs(snapshot_dir)
-        snapshot_files.write_snapshot(
-            snapshot_dir, snapshot_files.build_snapshot(db, 0)
-        )
         final_state = explicit_state(db)
     finally:
         db.release_version(version)
@@ -852,12 +872,11 @@ def run_belief_analytics(
                 "database reopened from its snapshot differs"
             )
 
-    outcome.metrics["recovery_s"] = (
-        measure_recovery(data_dir, 0, scale, outcome, check), "s")
+    outcome.meta["reopen_after_close_s"] = reopen(data_dir, 0, check)
     # The embedded database takes writes only while it loads.
     latency_metrics(outcome, "write", write_samples)
     outcome.meta.update(preload=scale.preload, wal_sync=None)
-    return finish(outcome, setup_samples)
+    return finish(outcome, samples)
 
 
 # -------------------------------------------------------- curation-durable
@@ -903,13 +922,13 @@ class CurationClient(Client):
         if roll < 0.3:
             self._read()
         elif roll < 0.32 and self.index == 0:
-            self.sweep()
+            self._sweep()
         elif not self.live:
             self._new_belief()
         else:
             self._walk()
 
-    def sweep(self) -> None:
+    def _sweep(self) -> None:
         self._write(self.client.lifecycle_decay_sweep)
         self.sweeps += 1
 
@@ -994,16 +1013,17 @@ class CurationClient(Client):
             self.transitions += 1
 
 
-def curation_deploy(path: str, scale: Scale, seed: int) -> Deployment:
+def curation_deploy(path: str, scale: Scale) -> Deployment:
     """Durable open, the seeded beliefs (inserted in one transaction, each
     proposed; the shared race pool also accepted, the curators' own ones
     left PROPOSED for the run to walk), server start, two curator
-    sessions."""
+    sessions. The seeded beliefs come from the fixed dataset seed, like the
+    paper preload; the run seed drives only the curators' streams."""
     reset_dir(path)
     db = open_durable(path, scale.checkpoint_every)
     for name in CURATORS:
         db.add_user(name)
-    rng = random.Random(seed)
+    rng = random.Random(inputs.DATASET_SEED)
     sightings = [
         (CURATORS[i % len(CURATORS)],
          inputs.fresh_sighting(rng, f"cs{i}", CURATORS[i % len(CURATORS)]))
@@ -1030,9 +1050,7 @@ def curation_deploy(path: str, scale: Scale, seed: int) -> Deployment:
         db.lifecycle_transition(
             belief, ACTIVE, expect=PROPOSED, actor=CURATORS[i % 4]
         )
-    deployment = Deployment(db, BeliefServer(db).start(), extra={
-        "beliefs": beliefs,
-    })
+    deployment = Deployment(db, BeliefServer(db).start(), beliefs=beliefs)
     host, port = deployment.server.address
     for name in SESSION_CURATORS:
         client = BeliefClient(host, port)
@@ -1079,23 +1097,19 @@ def run_curation_durable(
 ) -> Outcome:
     outcome = Outcome()
     data_dir = os.path.join(work, "data")
-    extra_dir = os.path.join(work, "data-extra")
-    setup_samples: list[float] = []
-    timings: dict[str, list[float]] = {}
-    live = measure(
-        lambda: curation_deploy(data_dir, scale, seed), setup_samples
-    )
+    spare_dir = os.path.join(work, "data-spare")
+    samples = Samples()
+    live = measure(lambda: curation_deploy(data_dir, scale), samples.setup)
     try:
         db, server = live.db, live.server
 
         def between() -> None:
-            throwaway_setup(
-                lambda: curation_deploy(extra_dir, scale, seed),
-                setup_samples,
+            durable_break(
+                live, lambda: curation_deploy(spare_dir, scale), work,
+                samples, outcome,
             )
-            table2_rounds(db, outcome, timings)
 
-        beliefs = live.extra["beliefs"]
+        beliefs = live.beliefs
         race_pool = beliefs[: race_pool_size(scale)]
         walk = beliefs[len(race_pool):]
         races: dict[int, list[bool]] = {}
@@ -1124,9 +1138,8 @@ def run_curation_durable(
             outcome.layers["lifecycle.cas_win_ratio"] = (
                 outcome.meta["cas_win_ratio"], "ratio")
         outcome.meta["codecs"] = negotiated_codecs(db)
-        table2_metrics(outcome, timings)
-        clients[0].phase = "crash-point"
-        outcome.meta["wal_tail_at_close"] = crash_point(db, clients[0].sweep)
+        outcome.meta["wal_tail_at_close"] = (
+            db.durability.records_since_checkpoint)
         background_failures(db, server, outcome)
         audit = db.audit_log()
         # Set-up proposed every seeded belief and accepted the race pool.
@@ -1146,13 +1159,13 @@ def run_curation_durable(
                 "recovered audit log differs from the one before close"
             )
 
-    outcome.metrics["recovery_s"] = (measure_recovery(
-        data_dir, scale.checkpoint_every, scale, outcome, check), "s")
+    outcome.meta["reopen_after_close_s"] = reopen(
+        data_dir, scale.checkpoint_every, check)
     outcome.meta.update(
         preload=scale.preload, checkpoint_every=scale.checkpoint_every,
         race_every=scale.race_every, sessions=2,
     )
-    return finish(outcome, setup_samples)
+    return finish(outcome, samples)
 
 
 WORKLOADS: dict[str, Callable[..., Outcome]] = {
