@@ -3,7 +3,7 @@
 Usage, from the root of a checkout::
 
     python3 perfbench/trajectory.py --workload annotate-lookup \\
-        --seeds 1-10 --seconds 20 [--append]
+        --seeds 1-10 --seconds 30 [--append]
 
 Prints, per end-to-end metric, the median of the runs and the distance
 between the first and third quartile as a share of the median (the spread
